@@ -33,8 +33,15 @@ race:
 # same GOMAXPROCS), and the fused end-to-end RunStreamed pipeline.
 BENCH_MATRIX := BenchmarkStreamingServe|BenchmarkStreamingGenerate(Sequential|Shards)|BenchmarkRunStreamed
 
+# BENCH_SET is what bench and bench-gate run at the default
+# GOMAXPROCS: every streaming benchmark plus the analysis kernels — the
+# Figure 8 autocorrelation, the Figure 9 timeout sweep and the full
+# Sections 3–5 characterization.
+BENCH_SET := BenchmarkStreaming|BenchmarkFigure8Autocorrelation|BenchmarkFigure9SessionsVsTimeout|BenchmarkPipelineFullCharacterization
+
 # bench runs the streaming-pipeline benchmarks (sequential vs sharded
-# generation, streamed serving) and renders BENCH_streaming.json —
+# generation, streamed serving) and the analysis kernels of BENCH_SET,
+# and renders BENCH_streaming.json —
 # ns/op and bytes/op per benchmark — seeding the perf trajectory. The
 # serve, generate, and end-to-end benchmarks additionally run a -cpu
 # 1,2,4,8 matrix so each parallel path's scaling
@@ -46,7 +53,7 @@ BENCH_MATRIX := BenchmarkStreamingServe|BenchmarkStreamingGenerate(Sequential|Sh
 # and the committed baseline is replaced atomically (write to .tmp,
 # then mv) so a failed render cannot truncate it.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkStreaming' -benchmem -count 1 . > bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
+	$(GO) test -run '^$$' -bench '$(BENCH_SET)' -benchmem -count 1 . > bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_MATRIX)' -benchmem -count 1 -cpu 1,2,4,8 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	cat bench_streaming.txt
 	$(GO) run ./cmd/benchjson < bench_streaming.txt > BENCH_streaming.json.tmp || { rm -f bench_streaming.txt BENCH_streaming.json.tmp; exit 1; }
@@ -75,7 +82,7 @@ bench-gate:
 	        echo "$${baselines:-  (none)}" >&2; \
 	        exit 1; \
 	    fi
-	$(GO) test -run '^$$' -bench 'BenchmarkStreaming' -benchmem -count 3 . > bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
+	$(GO) test -run '^$$' -bench '$(BENCH_SET)' -benchmem -count 3 . > bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	$(GO) test -run '^$$' -bench '$(BENCH_MATRIX)' -benchmem -count 3 -cpu 1,2,4,8 . >> bench_streaming.txt || { rm -f bench_streaming.txt; exit 1; }
 	cat bench_streaming.txt
 	$(GO) run ./cmd/benchjson < bench_streaming.txt > bench_fresh.json || { rm -f bench_streaming.txt; exit 1; }

@@ -15,7 +15,9 @@
 // JSON, which lsmgen loads directly via -model. -twin runs the full
 // loop — generate from the fitted spec, serve, re-characterize,
 // validate — and prints the source-versus-twin report; with -strict the
-// exit code is nonzero when any KS test rejects.
+// exit code is nonzero when any KS test rejects. -cpuprofile,
+// -memprofile and -trace capture pprof and execution-trace artifacts of
+// the run.
 package main
 
 import (
@@ -25,6 +27,7 @@ import (
 
 	"repro/internal/calibrate"
 	"repro/internal/core"
+	"repro/internal/prof"
 	"repro/internal/trace"
 	"repro/internal/wmslog"
 )
@@ -39,13 +42,22 @@ func main() {
 		twin    = flag.Bool("twin", false, "regenerate a synthetic twin and validate it against the source")
 		strict  = flag.Bool("strict", false, "with -twin: exit nonzero if any KS test rejects")
 	)
+	var profiles prof.Profiles
+	profiles.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if *logs == "" {
 		fmt.Fprintln(os.Stderr, "lsmcal: -logs is required")
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err := profiles.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "lsmcal:", err)
+		os.Exit(1)
+	}
 	code, err := run(*logs, *days, *timeout, *seed, *out, *twin, *strict)
+	if perr := profiles.Stop(); err == nil {
+		err = perr
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lsmcal:", err)
 		os.Exit(1)

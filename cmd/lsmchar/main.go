@@ -8,7 +8,8 @@
 //	lsmchar -logs logs/ -days 7 [-timeout 1500] [-figs figures/]
 //
 // It prints Table 1 and the fitted distributions, and with -figs writes
-// one gnuplot-style .dat file per figure panel.
+// one gnuplot-style .dat file per figure panel. -cpuprofile, -memprofile
+// and -trace capture pprof and execution-trace artifacts of the run.
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/wmslog"
@@ -32,13 +34,23 @@ func main() {
 		seed    = flag.Int64("seed", 1, "seed for the Figure 6 Poisson replica")
 		plot    = flag.String("plot", "", "render one figure as ASCII (e.g. fig19); 'list' shows ids")
 	)
+	var profiles prof.Profiles
+	profiles.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if *logs == "" {
 		fmt.Fprintln(os.Stderr, "lsmchar: -logs is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*logs, *days, *timeout, *figs, *seed, *plot); err != nil {
+	if err := profiles.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "lsmchar:", err)
+		os.Exit(1)
+	}
+	err := run(*logs, *days, *timeout, *figs, *seed, *plot)
+	if perr := profiles.Stop(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "lsmchar:", err)
 		os.Exit(1)
 	}

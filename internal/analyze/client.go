@@ -1,7 +1,9 @@
 package analyze
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dist"
@@ -23,7 +25,7 @@ type ClientLayer struct {
 	Interarrivals []float64
 
 	// TransfersPerClient and SessionsPerClient are the per-client access
-	// counts behind the interest profile.
+	// counts behind the interest profile, in rank order (descending).
 	TransfersPerClient []int
 	SessionsPerClient  []int
 
@@ -57,12 +59,14 @@ func AnalyzeClientLayer(set *sessions.Set) (*ClientLayer, error) {
 		Interarrivals: ClientInterarrivals(set),
 	}
 
-	// Interest profile: per-client counts of transfers and sessions.
+	// Interest profile: per-client counts of transfers and sessions, in
+	// rank order (descending) so the slices do not depend on map order.
 	byClient := tr.ByClient()
 	out.TransfersPerClient = make([]int, 0, len(byClient))
 	for _, idxs := range byClient {
 		out.TransfersPerClient = append(out.TransfersPerClient, len(idxs))
 	}
+	sortDescending(out.TransfersPerClient)
 	sessCounts := make(map[int]int)
 	for _, s := range set.Sessions {
 		sessCounts[s.Client]++
@@ -71,6 +75,7 @@ func AnalyzeClientLayer(set *sessions.Set) (*ClientLayer, error) {
 	for _, c := range sessCounts {
 		out.SessionsPerClient = append(out.SessionsPerClient, c)
 	}
+	sortDescending(out.SessionsPerClient)
 
 	if out.InterestTransfers, err = dist.FitZipfCounts(out.TransfersPerClient); err != nil {
 		return nil, fmt.Errorf("interest (transfers): %w", err)
@@ -79,6 +84,11 @@ func AnalyzeClientLayer(set *sessions.Set) (*ClientLayer, error) {
 		return nil, fmt.Errorf("interest (sessions): %w", err)
 	}
 	return out, nil
+}
+
+// sortDescending sorts counts into rank order, largest first.
+func sortDescending(counts []int) {
+	slices.SortFunc(counts, func(a, b int) int { return cmp.Compare(b, a) })
 }
 
 // ClientInterarrivals computes a(i) = t(i+1) - t(i) over session arrivals,

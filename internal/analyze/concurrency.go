@@ -60,14 +60,14 @@ func Concurrency(intervals []Interval, horizon int64) (*ConcurrencyReport, error
 	}
 	perSecond := concurrencyPerSecond(intervals, horizon)
 
-	// Marginal distribution of c(t).
-	samples := make([]float64, len(perSecond))
+	// Marginal distribution of c(t), from a histogram of the counts.
 	peak := 0
-	for i, v := range perSecond {
-		samples[i] = float64(v)
-		if int(v) > peak {
-			peak = int(v)
-		}
+	for _, v := range perSecond {
+		peak = max(peak, int(v))
+	}
+	hist := make([]int, peak+1)
+	for _, v := range perSecond {
+		hist[v]++
 	}
 
 	binned, err := binMeanSeries(perSecond, TemporalBin)
@@ -105,7 +105,7 @@ func Concurrency(intervals []Interval, horizon int64) (*ConcurrencyReport, error
 	}
 
 	return &ConcurrencyReport{
-		Marginal: stats.NewECDF(samples),
+		Marginal: stats.NewECDFHistogram(hist),
 		Binned:   binned,
 		WeekFold: weekFold,
 		DayFold:  dayFold,

@@ -3,6 +3,7 @@ package analyze
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gismo"
@@ -78,6 +79,28 @@ func TestClientLayer(t *testing.T) {
 	}
 	if len(cl.TransfersPerClient) == 0 || len(cl.SessionsPerClient) == 0 {
 		t.Error("missing per-client counts")
+	}
+}
+
+func TestClientLayerCountsRankOrdered(t *testing.T) {
+	f := getFixture(t)
+	a, err := AnalyzeClientLayer(f.set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := AnalyzeClientLayer(f.set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.TransfersPerClient, b.TransfersPerClient) {
+		t.Error("TransfersPerClient differs between two calls on the same set")
+	}
+	if !slices.Equal(a.SessionsPerClient, b.SessionsPerClient) {
+		t.Error("SessionsPerClient differs between two calls on the same set")
+	}
+	desc := func(x, y int) int { return y - x }
+	if !slices.IsSortedFunc(a.TransfersPerClient, desc) || !slices.IsSortedFunc(a.SessionsPerClient, desc) {
+		t.Error("per-client counts are not in rank order (descending)")
 	}
 }
 

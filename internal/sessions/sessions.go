@@ -16,6 +16,7 @@ package sessions
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -224,15 +225,89 @@ type SweepPoint struct {
 
 // SweepTimeout evaluates the number of sessions at each timeout value —
 // the sensitivity analysis of Figure 9 ("the number of sessions does not
-// change drastically for T_o > 1,500 seconds").
+// change drastically for T_o > 1,500 seconds"). Every point equals
+// Sessionize(tr, T).Count(), but all of them come from one pass over
+// the trace.
+//
+// The pass rests on a gap identity. Call a client's k-th gap its k-th
+// transfer's Start minus the largest End among its earlier transfers.
+// Sessionize's running session End is always that prefix maximum:
+// within a session it is the maximum by definition, and a transfer that
+// opens a new session starts more than T_o past the old maximum, so its
+// own End (Start + Duration, Duration >= 0 as Sanitize and the log
+// parsers guarantee) is the new maximum. A session therefore closes
+// exactly at the gaps that exceed T_o, and since no gap depends on T_o,
+//
+//	sessions(T_o) = clients + #{gaps > T_o}
+//
+// for every T_o at once.
 func SweepTimeout(tr *trace.Trace, timeouts []int64) ([]SweepPoint, error) {
+	for _, to := range timeouts {
+		if to <= 0 {
+			return nil, fmt.Errorf("%w: %d", ErrBadTimeout, to)
+		}
+	}
+	// Distinct thresholds ascending; gap g lands in bucket
+	// #{thresholds < g}, so the gaps exceeding thresholds[k] are those in
+	// buckets k+1 and above.
+	thresholds := slices.Clone(timeouts)
+	slices.Sort(thresholds)
+	thresholds = slices.Compact(thresholds)
+	buckets := make([]int, len(thresholds)+1)
+
+	// Clients are dense indices, so the per-client coverage end lives in
+	// a slice offset by the smallest index; seen marks clients already
+	// counted.
+	lo, hi := clientRange(tr.Transfers)
+	coverEnd := make([]int64, hi-lo+1)
+	seen := make([]bool, hi-lo+1)
+	clients := 0
+	for i := range tr.Transfers {
+		t := &tr.Transfers[i]
+		c := t.Client - lo
+		end := t.End()
+		if !seen[c] {
+			seen[c] = true
+			clients++
+			coverEnd[c] = end
+			continue
+		}
+		if gap := t.Start - coverEnd[c]; gap > 0 {
+			buckets[sort.Search(len(thresholds), func(k int) bool { return thresholds[k] >= gap })]++
+		}
+		if end > coverEnd[c] {
+			coverEnd[c] = end
+		}
+	}
+
+	// exceeding[k] = #{gaps > thresholds[k]}.
+	exceeding := make([]int, len(thresholds))
+	run := 0
+	for k := len(thresholds) - 1; k >= 0; k-- {
+		run += buckets[k+1]
+		exceeding[k] = run
+	}
 	out := make([]SweepPoint, 0, len(timeouts))
 	for _, to := range timeouts {
-		set, err := Sessionize(tr, to)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{Timeout: to, Sessions: set.Count()})
+		k := sort.Search(len(thresholds), func(k int) bool { return thresholds[k] >= to })
+		out = append(out, SweepPoint{Timeout: to, Sessions: clients + exceeding[k]})
 	}
 	return out, nil
+}
+
+// clientRange returns the smallest and largest client index among the
+// transfers, or (0, -1) when there are none.
+func clientRange(ts []trace.Transfer) (lo, hi int) {
+	if len(ts) == 0 {
+		return 0, -1
+	}
+	lo, hi = ts[0].Client, ts[0].Client
+	for i := range ts {
+		if c := ts[i].Client; c < lo {
+			lo = c
+		} else if c > hi {
+			hi = c
+		}
+	}
+	return lo, hi
 }

@@ -1,7 +1,9 @@
 package sessions
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -294,5 +296,88 @@ func TestSessionizePartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The one-pass sweep must agree with a full Sessionize at every timeout
+// on traces built to stress the gap identity: overlapping, nested,
+// zero-duration and equal-start transfers, clients whose indices do not
+// start at zero, and timeouts given unsorted and with repeats.
+func TestSweepTimeoutMatchesSessionize(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	timeouts := []int64{1500, 1, 40, 3, 40, 2, 500, 10, 7, 100000}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(60)
+		clients := 1 + rng.Intn(6)
+		base := rng.Intn(4) * 1000 // non-zero lowest client index
+		span := int64(1 + rng.Intn(400))
+		transfers := make([]trace.Transfer, n)
+		for i := range transfers {
+			var dur int64
+			switch rng.Intn(4) {
+			case 0: // zero-duration
+			case 1: // long enough to nest later transfers
+				dur = rng.Int63n(4 * span)
+			default:
+				dur = rng.Int63n(20)
+			}
+			transfers[i] = trace.Transfer{
+				Client:   base + rng.Intn(clients),
+				Start:    rng.Int63n(span), // small span forces equal starts
+				Duration: dur,
+			}
+		}
+		tr, err := trace.New(10*span+1, transfers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Sessionize walks transfers in index order, so the identity holds
+		// for an unsorted trace too.
+		unsorted := &trace.Trace{Horizon: tr.Horizon, Transfers: transfers}
+		for _, tr := range []*trace.Trace{tr, unsorted} {
+			pts, err := SweepTimeout(tr, timeouts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pts) != len(timeouts) {
+				t.Fatalf("trial %d: %d points for %d timeouts", trial, len(pts), len(timeouts))
+			}
+			for i, p := range pts {
+				set, err := Sessionize(tr, timeouts[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.Timeout != timeouts[i] || p.Sessions != set.Count() {
+					t.Fatalf("trial %d: point %d = %+v, Sessionize(%d).Count() = %d",
+						trial, i, p, timeouts[i], set.Count())
+				}
+			}
+		}
+	}
+}
+
+func TestSweepTimeoutErrorsAndEdges(t *testing.T) {
+	tr := mk(t, 1000, [3]int64{3, 0, 10}, [3]int64{3, 500, 10})
+	for _, bad := range [][]int64{{0}, {-5}, {1500, 0}, {10, 20, -1, 30}} {
+		if _, err := SweepTimeout(tr, bad); !errors.Is(err, ErrBadTimeout) {
+			t.Errorf("SweepTimeout(%v) err = %v, want ErrBadTimeout", bad, err)
+		}
+	}
+	pts, err := SweepTimeout(tr, nil)
+	if err != nil || pts == nil || len(pts) != 0 {
+		t.Errorf("no timeouts: got %v, %v; want an empty slice", pts, err)
+	}
+	empty, err := trace.New(1000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err = SweepTimeout(empty, []int64{1, 1500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		if p.Sessions != 0 {
+			t.Errorf("empty trace: %+v, want 0 sessions", p)
+		}
 	}
 }

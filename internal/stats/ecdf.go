@@ -20,6 +20,24 @@ func NewECDF(xs []float64) *ECDF {
 	return &ECDF{sorted: sorted}
 }
 
+// NewECDFHistogram builds the ECDF of a sample of non-negative integers
+// given by its histogram: hist[v] is the number of samples equal to v.
+// It equals NewECDF of the expanded sample; a counting sort lays the
+// values out in order, so no comparison sort runs.
+func NewECDFHistogram(hist []int) *ECDF {
+	n := 0
+	for _, c := range hist {
+		n += c
+	}
+	sorted := make([]float64, 0, n)
+	for v, c := range hist {
+		for range c {
+			sorted = append(sorted, float64(v))
+		}
+	}
+	return &ECDF{sorted: sorted}
+}
+
 // N returns the sample size.
 func (e *ECDF) N() int { return len(e.sorted) }
 

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -190,5 +192,81 @@ func TestLocalMaxima(t *testing.T) {
 	}
 	if got := LocalMaxima(series, 2.5); len(got) != 1 || got[0] != 5 {
 		t.Errorf("thresholded maxima = %v, want [5]", got)
+	}
+}
+
+// AutocorrelationFunction must equal per-lag Autocorrelation bit for bit
+// at series lengths and lags on both sides of the lag-block width, where
+// the blocked sweep hands over to its tail and remainder loops.
+func TestAutocorrelationFunctionBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{2, 3, acfBlock - 1, acfBlock, acfBlock + 1, 2*acfBlock - 1, 2 * acfBlock, 2*acfBlock + 1, 5*acfBlock + 3, 200} {
+		series := make([]float64, n)
+		for i := range series {
+			// Mix fractional noise with integer-valued levels, as the
+			// minute-binned c(t) means are.
+			series[i] = float64(rng.Intn(50)) + rng.Float64()*float64(i%3)
+		}
+		series[0]++ // never constant
+		for _, maxLag := range []int{0, 1, acfBlock - 1, acfBlock, acfBlock + 1, 2*acfBlock + 3, n - 2, n - 1} {
+			if maxLag < 0 || maxLag >= n {
+				continue
+			}
+			acf, err := AutocorrelationFunction(series, maxLag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(acf) != maxLag+1 {
+				t.Fatalf("n=%d maxLag=%d: len %d", n, maxLag, len(acf))
+			}
+			for l, got := range acf {
+				want, err := Autocorrelation(series, l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d maxLag=%d lag %d: %v (%#x), per-lag %v (%#x)",
+						n, maxLag, l, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+func TestAutocorrelationFunctionErrors(t *testing.T) {
+	if _, err := AutocorrelationFunction([]float64{3, 3, 3}, 1); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("constant series: err = %v, want ErrBadArgument", err)
+	}
+	if _, err := AutocorrelationFunction([]float64{7}, 0); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("single sample: err = %v, want ErrBadArgument", err)
+	}
+	if _, err := AutocorrelationFunction(nil, 0); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("empty series: err = %v, want ErrBadArgument", err)
+	}
+}
+
+func TestNewECDFHistogramMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		hist := make([]int, rng.Intn(40))
+		var sample []float64
+		for v := range hist {
+			if rng.Intn(3) > 0 {
+				hist[v] = rng.Intn(30)
+			}
+			for range hist[v] {
+				sample = append(sample, float64(v))
+			}
+		}
+		rng.Shuffle(len(sample), func(i, j int) { sample[i], sample[j] = sample[j], sample[i] })
+		got, want := NewECDFHistogram(hist).Values(), NewECDF(sample).Values()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: N = %d, want %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: value %d = %v, want %v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }
