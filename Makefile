@@ -3,7 +3,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: verify build lint test race bench bench-gate bench-history fuzz e2e e2e-fleet e2e-twin profile
+.PHONY: verify build lint test race bench bench-gate bench-history fuzz e2e e2e-fleet e2e-twin paper-digest profile
 
 # Extra flags for the e2e binaries (CI passes E2E_BUILDFLAGS=-race to
 # run the socket smokes under the race detector).
@@ -124,6 +124,13 @@ e2e-twin:
 	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmgen ./cmd/lsmgen
 	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmcal ./cmd/lsmcal
 	BIN=$(BIN) ./scripts/e2e_twin.sh
+
+# paper-digest runs lsmgen -stream at paper scale (seed 1, 28 days) on
+# one serve lane and on the default lane count, and fails unless both
+# daily-log sets hash to the committed realization digest.
+paper-digest:
+	$(GO) build $(E2E_BUILDFLAGS) -o $(BIN)/lsmgen ./cmd/lsmgen
+	BIN=$(BIN) ./scripts/paper_digest.sh
 
 # e2e-fleet exercises the horizontal axis: three lsmserve nodes behind
 # the lsmfleet redirector serve a replayed flash-crowd workload (hash

@@ -6,7 +6,7 @@
 //
 //	lsmgen -out logs/ [-scale 150] [-days 7] [-seed 1] [-model model.json]
 //	       [-save-model model.json] [-log-format text|binary] [-stream]
-//	       [-shards N] [-lanes N]
+//	       [-shards N] [-serve-lanes N]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace trace.out]
 //
 // -log-format binary writes the daily files in the framed binary
@@ -19,10 +19,9 @@
 // go straight to the daily files, so memory stays O(active sessions)
 // instead of O(total requests) — the mode for paper-scale (-scale 1)
 // runs. -shards sets the generator shard count and -serve-lanes the
-// serve worker count (0 = one per schedulable CPU each; -lanes is the
-// deprecated alias). The emitted logs are byte-identical between the
-// streaming and the materializing path for the same seed, at any shard
-// or lane count.
+// serve worker count (0 = one per schedulable CPU each). The emitted
+// logs are byte-identical between the streaming and the materializing
+// path for the same seed, at any shard or lane count.
 //
 // The profiling flags (internal/prof) capture the run as pprof/trace
 // artifacts; `make profile` is the canonical profiling invocation.
@@ -32,9 +31,7 @@
 // (e.g. one fitted by `lsmcal -o`) instead of the -scale/-days
 // parameterization; -save-model writes the effective model spec so the
 // run can be reproduced or adjusted. The two compose: `-model a.json
-// -save-model b.json` round-trips the spec byte-identically. (-load is
-// the deprecated alias of -model from when -model meant the write
-// path.)
+// -save-model b.json` round-trips the spec byte-identically.
 package main
 
 import (
@@ -58,11 +55,9 @@ type options struct {
 	seed       int64
 	savePath   string
 	loadPath   string
-	loadAlias  string
 	logFormat  string
 	stream     bool
 	shards     int
-	lanes      int
 	serveLanes int
 }
 
@@ -75,25 +70,16 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.StringVar(&o.loadPath, "model", "", "model spec JSON to load instead of -scale/-days (e.g. from lsmcal -o)")
 	flag.StringVar(&o.savePath, "save-model", "", "optional path to write the effective model spec JSON")
-	flag.StringVar(&o.loadAlias, "load", "", "deprecated alias for -model")
 	flag.StringVar(&o.logFormat, "log-format", "text", "daily log format: text (canonical) or binary (framed fast path)")
 	flag.BoolVar(&o.stream, "stream", false, "streaming mode: O(active sessions) memory, logs written as served")
 	flag.IntVar(&o.shards, "shards", 0, "generator shards in streaming mode (0 = one per CPU)")
 	flag.IntVar(&o.serveLanes, "serve-lanes", 0, "serve worker lanes in streaming mode (0 = one per schedulable CPU)")
-	flag.IntVar(&o.lanes, "lanes", 0, "deprecated alias for -serve-lanes")
 	profiles.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if o.out == "" {
 		fmt.Fprintln(os.Stderr, "lsmgen: -out is required")
 		flag.Usage()
 		os.Exit(2)
-	}
-	if o.loadAlias != "" {
-		if o.loadPath != "" && o.loadPath != o.loadAlias {
-			fmt.Fprintln(os.Stderr, "lsmgen: -load is a deprecated alias for -model; set only one")
-			os.Exit(2)
-		}
-		o.loadPath = o.loadAlias
 	}
 	if o.logFormat != "text" && o.logFormat != "binary" {
 		fmt.Fprintf(os.Stderr, "lsmgen: -log-format %q: want text or binary\n", o.logFormat)
@@ -186,9 +172,6 @@ func runStreaming(o options, model gismo.Model) error {
 		shards = gismo.DefaultShards()
 	}
 	lanes := o.serveLanes
-	if lanes == 0 {
-		lanes = o.lanes // deprecated -lanes alias
-	}
 	if lanes == 0 {
 		lanes = simulate.DefaultServeLanes()
 	}

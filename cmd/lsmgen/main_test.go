@@ -162,7 +162,7 @@ func logBytes(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestStreamingLogsByteIdentical is the CLI-level acceptance check:
-// the streaming path (-stream -shards N -lanes K) must write
+// the streaming path (-stream -shards N -serve-lanes K) must write
 // byte-identical daily logs to the materializing path for the same
 // seed, for any generator shard count and any serve lane count.
 func TestStreamingLogsByteIdentical(t *testing.T) {
@@ -178,7 +178,7 @@ func TestStreamingLogsByteIdentical(t *testing.T) {
 
 	for _, c := range []struct{ shards, lanes int }{{1, 1}, {3, 1}, {1, 4}, {3, 8}} {
 		streamDir := filepath.Join(dir, "stream", fmt.Sprintf("s%dl%d", c.shards, c.lanes))
-		if err := run(options{out: streamDir, scale: 500, days: 2, seed: 11, stream: true, shards: c.shards, lanes: c.lanes}); err != nil {
+		if err := run(options{out: streamDir, scale: 500, days: 2, seed: 11, stream: true, shards: c.shards, serveLanes: c.lanes}); err != nil {
 			t.Fatal(err)
 		}
 		streamed := logBytes(t, streamDir)

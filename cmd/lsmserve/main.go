@@ -63,16 +63,15 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8555", "listen address")
-		logPath  = flag.String("log", "", "optional path for WMS-style transfer log")
-		logFmt   = flag.String("log-format", "text", "transfer log format: text (canonical) or binary (framed fast path)")
-		metrics  = flag.String("metrics", "", "optional address for the plain-text /metrics endpoint")
-		rate     = flag.Int("rate", 110000, "stream rate in bits/second")
-		maxConn  = flag.Int("max-conns", 256, "maximum concurrent connections; extras get 'ERR busy', never a hang")
-		writeTO  = flag.Duration("write-timeout", 10*time.Second, "disconnect a client that stops reading after this long (0 disables)")
-		idleTO   = flag.Duration("idle-timeout", 60*time.Second, "drop connections silent outside a transfer for this long (0 disables)")
-		maxConnO = flag.Int("maxconns", 0, "deprecated alias for -max-conns")
-		lanes    = flag.Int("serve-lanes", 0, "CPUs to schedule across (GOMAXPROCS; 0 = all)")
+		addr    = flag.String("addr", "127.0.0.1:8555", "listen address")
+		logPath = flag.String("log", "", "optional path for WMS-style transfer log")
+		logFmt  = flag.String("log-format", "text", "transfer log format: text (canonical) or binary (framed fast path)")
+		metrics = flag.String("metrics", "", "optional address for the plain-text /metrics endpoint")
+		rate    = flag.Int("rate", 110000, "stream rate in bits/second")
+		maxConn = flag.Int("max-conns", 256, "maximum concurrent connections; extras get 'ERR busy', never a hang")
+		writeTO = flag.Duration("write-timeout", 10*time.Second, "disconnect a client that stops reading after this long (0 disables)")
+		idleTO  = flag.Duration("idle-timeout", 60*time.Second, "drop connections silent outside a transfer for this long (0 disables)")
+		lanes   = flag.Int("serve-lanes", 0, "CPUs to schedule across (GOMAXPROCS; 0 = all)")
 
 		fleet     = flag.String("fleet", "", "register with the lsmfleet redirector at this address and heartbeat load")
 		advertise = flag.String("advertise", "", "address to advertise to the fleet (default: the actual listen address)")
@@ -82,9 +81,6 @@ func main() {
 	)
 	profiles.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	if *maxConnO != 0 {
-		*maxConn = *maxConnO
-	}
 	if *logFmt != "text" && *logFmt != "binary" {
 		fmt.Fprintf(os.Stderr, "lsmserve: -log-format %q: want text or binary\n", *logFmt)
 		os.Exit(2)

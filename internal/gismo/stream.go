@@ -193,8 +193,8 @@ func NewStream(m Model, seed int64, shards int) (*WorkloadStream, error) {
 	ws.rings = make([]shardRings, shards)
 	for s := 0; s < shards; s++ {
 		ws.rings[s] = shardRings{
-			out: ring.NewSPSC[[]workload.Event](streamBatchDepth, ring.NewGate(), ring.NewGate()),
-			rec: ring.NewSPSC[[]workload.Event](recycleDepth, ring.NewGate(), ring.NewGate()),
+			out: ring.NewSPSC[[]workload.Event](streamBatchDepth),
+			rec: ring.NewSPSC[[]workload.Event](recycleDepth),
 		}
 		go ws.runShard(s, ws.rings[s], interest, perSession, gap, length)
 	}

@@ -141,7 +141,10 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // ActiveTransfers returns the number of currently streaming transfers.
 func (s *Server) ActiveTransfers() int64 { return s.active.Load() }
 
-// ServedTransfers returns the number of completed transfers.
+// ServedTransfers returns the number of completed transfers. A
+// transfer counts as served when its STOP arrives: the counter and the
+// log sink are updated before the END reply is flushed, so a client
+// that has read END observes its transfer here (and in the sink).
 func (s *Server) ServedTransfers() int64 { return s.served.Load() }
 
 // RefusedConns returns the number of connections refused at capacity.
@@ -411,6 +414,11 @@ func (s *Server) stream(conn net.Conn, writer *bufio.Writer, in <-chan inbound, 
 			}
 			switch msg.cmd.verb {
 			case "STOP":
+				// The transfer is served at STOP: count and log it
+				// before END goes out, so a client that has read END
+				// already sees it in ServedTransfers and the log sink.
+				s.served.Add(1)
+				s.emit(playerID, remoteIP, uri, start, sent, frames, start0.session, start0.seq)
 				s.armWrite(conn)
 				b := append((*scratch)[:0], "END "...)
 				b = strconv.AppendInt(b, sent, 10)
@@ -418,12 +426,7 @@ func (s *Server) stream(conn net.Conn, writer *bufio.Writer, in <-chan inbound, 
 				b = strconv.AppendInt(b, int64(frames), 10)
 				*scratch = append(b, '\n')
 				writer.Write(*scratch)
-				if err := writer.Flush(); err != nil {
-					return err
-				}
-				s.served.Add(1)
-				s.emit(playerID, remoteIP, uri, start, sent, frames, start0.session, start0.seq)
-				return nil
+				return writer.Flush()
 			case "QUIT":
 				return io.EOF
 			default:

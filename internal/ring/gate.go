@@ -1,23 +1,21 @@
-// Package ring provides the bounded, allocation-free buffers the
-// sharded serve pipeline rides on: a single-producer single-consumer
-// ring (SPSC) for the dispatcher→lane and lane→collector handoffs, a
-// dense-sequence reorder window (Reorder) for the collector's
-// order-restoring merge, and the park/wake primitive (Gate) both use
-// on their slow paths.
+// Package ring provides the bounded, allocation-free single-producer
+// single-consumer ring (SPSC) the streaming pipeline hands work through:
+// gismo's shard slabs and the sharded serve path's batches ride on it.
 //
 // The design target is that the fast path of every operation is a
 // couple of plain loads/stores plus one atomic publish — no channel
-// send, no mutex, no comparator call — so the per-item pipeline
-// overhead stays far below the per-item serve work. Blocking is the
-// slow path only: a consumer (or producer) that finds the ring empty
-// (full) parks on a Gate and is woken by the other side's next
-// publish, so liveness never depends on spinning and the pipeline
-// behaves on a single-CPU box exactly as on a many-core one.
+// send, no mutex — so the per-item pipeline overhead stays far below
+// the per-item work. Blocking is the slow path only: a consumer (or
+// producer) that finds the ring empty (full) parks on the ring's gate
+// and is woken by the other side's next publish, so liveness never
+// depends on spinning and the pipeline behaves on a single-CPU box
+// exactly as on a many-core one. Each ring owns its two gates; no gate
+// is shared between rings.
 package ring
 
 import "sync/atomic"
 
-// Gate is a park/wake point: one waiter, any number of wakers. It is
+// gate is a park/wake point: one waiter, any number of wakers. It is
 // the condition-variable analogue that composes with an abort channel
 // and costs the fast path a single atomic load.
 //
@@ -37,23 +35,22 @@ import "sync/atomic"
 // are not: Prepare's store is sequenced before the waiter's re-check,
 // so a publisher that runs after the re-check observes the waiting
 // flag and posts the token.
-type Gate struct {
+type gate struct {
 	waiting atomic.Bool
 	ch      chan struct{}
 }
 
-// NewGate returns a ready Gate.
-func NewGate() *Gate {
-	return &Gate{ch: make(chan struct{}, 1)}
+func newGate() *gate {
+	return &gate{ch: make(chan struct{}, 1)}
 }
 
 // Prepare announces the intent to park. The caller MUST re-check its
 // condition between Prepare and Wait (see the protocol above).
-func (g *Gate) Prepare() { g.waiting.Store(true) }
+func (g *gate) Prepare() { g.waiting.Store(true) }
 
 // Cancel retracts a Prepare whose re-check found the condition true,
 // dropping any token a concurrent Wake already posted.
-func (g *Gate) Cancel() {
+func (g *gate) Cancel() {
 	g.waiting.Store(false)
 	select {
 	case <-g.ch:
@@ -63,7 +60,7 @@ func (g *Gate) Cancel() {
 
 // Wait parks until a Wake or until abort is closed; it returns false
 // on abort. A nil abort never fires.
-func (g *Gate) Wait(abort <-chan struct{}) bool {
+func (g *gate) Wait(abort <-chan struct{}) bool {
 	select {
 	case <-g.ch:
 		return true
@@ -78,7 +75,7 @@ func (g *Gate) Wait(abort <-chan struct{}) bool {
 // single atomic load.
 //
 //lsm:hotpath
-func (g *Gate) Wake() {
+func (g *gate) Wake() {
 	if g.waiting.Load() && g.waiting.Swap(false) {
 		select {
 		case g.ch <- struct{}{}:

@@ -1,14 +1,13 @@
 package ring
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestSPSCFIFO(t *testing.T) {
-	r := NewSPSC[int](8, NewGate(), NewGate())
+	r := NewSPSC[int](8)
 	if r.Cap() != 8 {
 		t.Fatalf("cap = %d, want 8", r.Cap())
 	}
@@ -33,7 +32,7 @@ func TestSPSCFIFO(t *testing.T) {
 
 func TestSPSCCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{{1, 1}, {2, 2}, {3, 4}, {5, 8}, {512, 512}, {513, 1024}} {
-		if got := NewSPSC[byte](tc.ask, NewGate(), NewGate()).Cap(); got != tc.want {
+		if got := NewSPSC[byte](tc.ask).Cap(); got != tc.want {
 			t.Errorf("capacity %d rounded to %d, want %d", tc.ask, got, tc.want)
 		}
 	}
@@ -44,7 +43,7 @@ func TestSPSCCapacityRounding(t *testing.T) {
 // this also proves the slot handoff is properly synchronized.
 func TestSPSCBlockingStress(t *testing.T) {
 	const n = 200_000
-	r := NewSPSC[int](4, NewGate(), NewGate())
+	r := NewSPSC[int](4)
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < n; i++ {
@@ -71,9 +70,6 @@ func TestSPSCBlockingStress(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if !r.Done() {
-		t.Fatal("ring not done after close and drain")
-	}
 }
 
 func errAt(msg string, i int) error {
@@ -91,9 +87,9 @@ func (e *indexedErr) Error() string { return e.msg }
 // closes while they are parked.
 func TestSPSCAbort(t *testing.T) {
 	abort := make(chan struct{})
-	full := NewSPSC[int](1, NewGate(), NewGate())
+	full := NewSPSC[int](1)
 	full.TryPush(1)
-	empty := NewSPSC[int](1, NewGate(), NewGate())
+	empty := NewSPSC[int](1)
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -119,7 +115,7 @@ func TestSPSCAbort(t *testing.T) {
 // TestSPSCCloseWakesConsumer: a consumer parked on an empty ring must
 // observe a close without any further push.
 func TestSPSCCloseWakesConsumer(t *testing.T) {
-	r := NewSPSC[int](4, NewGate(), NewGate())
+	r := NewSPSC[int](4)
 	done := make(chan bool, 1)
 	go func() {
 		_, ok := r.Pop(nil)
@@ -137,170 +133,12 @@ func TestSPSCCloseWakesConsumer(t *testing.T) {
 	}
 }
 
-// TestSPSCSharedConsumerGate is the collector topology: one consumer
-// multiplexes several rings through a single shared gate, re-scanning
-// on every wake. All items from all producers must arrive.
-func TestSPSCSharedConsumerGate(t *testing.T) {
-	const lanes = 4
-	const perLane = 50_000
-	shared := NewGate()
-	rings := make([]*SPSC[int], lanes)
-	for k := range rings {
-		rings[k] = NewSPSC[int](8, NewGate(), shared)
-	}
-	for k := range rings {
-		go func(k int) {
-			for i := 0; i < perLane; i++ {
-				rings[k].Push(k*perLane+i, nil)
-			}
-			rings[k].Close()
-		}(k)
-	}
-
-	// The consumer mirrors the collector's topology: done rings are
-	// recorded once and then skipped — a ring that stays Done must not
-	// count as fresh work in the park re-check, or the consumer would
-	// busy-spin (and starve the producers) from the moment the first
-	// producer finishes.
-	seen := 0
-	done := make([]bool, lanes)
-	remaining := lanes
-	deadline := time.After(60 * time.Second)
-	for remaining > 0 {
-		progress := false
-		for k, r := range rings {
-			if done[k] {
-				continue
-			}
-			for {
-				_, ok := r.TryPop()
-				if !ok {
-					break
-				}
-				seen++
-				progress = true
-			}
-			if r.Done() {
-				done[k] = true
-				remaining--
-				progress = true
-			}
-		}
-		if remaining > 0 && !progress {
-			shared.Prepare()
-			again := false
-			for k, r := range rings {
-				if done[k] {
-					continue
-				}
-				if _, ok := r.Peek(); ok || r.Done() {
-					again = true
-					break
-				}
-			}
-			if again {
-				shared.Cancel()
-				continue
-			}
-			select {
-			case <-deadline:
-				t.Fatalf("multiplexed consumer wedged with %d/%d items", seen, lanes*perLane)
-			default:
-			}
-			shared.Wait(nil)
-		}
-	}
-	if seen != lanes*perLane {
-		t.Fatalf("consumed %d items, want %d", seen, lanes*perLane)
-	}
-}
-
-func TestReorderInOrder(t *testing.T) {
-	r := NewReorder[string](4)
-	// Arrive out of order: 2, 0, 1, 3.
-	for _, seq := range []uint64{2, 0, 1, 3} {
-		if err := r.Place(seq, strings.Repeat("x", int(seq))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for want := uint64(0); want < 4; want++ {
-		p, ok := r.PeekNext()
-		if !ok {
-			t.Fatalf("sequence %d not drainable", want)
-		}
-		if uint64(len(*p)) != want {
-			t.Fatalf("drained wrong item for sequence %d", want)
-		}
-		r.Release()
-	}
-	if r.Len() != 0 {
-		t.Fatalf("window not empty after drain: %d", r.Len())
-	}
-}
-
-// TestReorderWindowSlides exercises wraparound: the window must keep
-// accepting dense sequences far beyond its capacity as it slides.
-func TestReorderWindowSlides(t *testing.T) {
-	r := NewReorder[uint64](8)
-	for seq := uint64(0); seq < 1000; seq++ {
-		if !r.Placeable(seq) {
-			t.Fatalf("sequence %d not placeable in an empty window", seq)
-		}
-		if err := r.Place(seq, seq); err != nil {
-			t.Fatal(err)
-		}
-		p, ok := r.PeekNext()
-		if !ok || *p != seq {
-			t.Fatalf("sequence %d did not drain immediately", seq)
-		}
-		r.Release()
-	}
-	if r.Next() != 1000 {
-		t.Fatalf("window lower bound = %d, want 1000", r.Next())
-	}
-}
-
-// TestReorderOverflowDiagnostics: out-of-window and duplicate
-// placements are pipeline invariant violations and must return loud
-// diagnostic errors — never wedge or silently drop.
-func TestReorderOverflowDiagnostics(t *testing.T) {
-	r := NewReorder[int](4)
-
-	if err := r.Place(4, 0); err == nil {
-		t.Error("placement beyond the window accepted")
-	} else if !strings.Contains(err.Error(), "overflow") {
-		t.Errorf("overflow error %q does not name the condition", err)
-	}
-	if r.Placeable(4) {
-		t.Error("sequence beyond the window reported placeable")
-	}
-
-	if err := r.Place(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Place(1, 0); err == nil {
-		t.Error("duplicate placement accepted")
-	} else if !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("duplicate error %q does not name the condition", err)
-	}
-
-	if err := r.Place(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	r.Release() // release 0
-	if err := r.Place(0, 0); err == nil {
-		t.Error("stale placement accepted")
-	} else if !strings.Contains(err.Error(), "already released") {
-		t.Errorf("stale error %q does not name the condition", err)
-	}
-}
-
-// TestGateLostWakeupStress hammers the Prepare/re-check/Wait protocol
-// from a waker that toggles a shared condition, ensuring no wake is
-// ever lost.
+// TestGateLostWakeupStress drives a capacity-1 ring, so nearly every
+// item crosses a park/wake on one side or the other: the
+// Prepare/re-check/Wait protocol must never lose a wake, or the pair
+// wedges and the deadline trips.
 func TestGateLostWakeupStress(t *testing.T) {
-	g := NewGate()
-	r := NewSPSC[int](1, NewGate(), g)
+	r := NewSPSC[int](1)
 	const n = 100_000
 	go func() {
 		for i := 0; i < n; i++ {
@@ -308,36 +146,23 @@ func TestGateLostWakeupStress(t *testing.T) {
 		}
 		r.Close()
 	}()
-	got := 0
-	deadline := time.After(60 * time.Second)
-	for {
-		if _, ok := r.TryPop(); ok {
-			got++
-			continue
+	got := make(chan int, 1)
+	go func() {
+		c := 0
+		for {
+			if _, ok := r.Pop(nil); !ok {
+				break
+			}
+			c++
 		}
-		if r.Done() {
-			break
+		got <- c
+	}()
+	select {
+	case c := <-got:
+		if c != n {
+			t.Fatalf("consumed %d items, want %d", c, n)
 		}
-		g.Prepare()
-		if _, ok := r.Peek(); ok || r.closed.Load() {
-			g.Cancel()
-			continue
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("lost wakeup after %d items", got)
-		default:
-		}
-		g.Wait(nil)
-	}
-	// Drain whatever raced with the close.
-	for {
-		if _, ok := r.TryPop(); !ok {
-			break
-		}
-		got++
-	}
-	if got != n {
-		t.Fatalf("consumed %d items, want %d", got, n)
+	case <-time.After(60 * time.Second):
+		t.Fatal("lost wakeup: producer/consumer pair wedged")
 	}
 }

@@ -14,7 +14,7 @@ import "sync/atomic"
 // consumer re-reads tail only when it looks empty — the classic
 // Lamport ring refinement.
 //
-// Blocking Push/Pop park on the ring's gates (see Gate) and honor an
+// Blocking Push/Pop park on the ring's gates (see gate) and honor an
 // abort channel, so a stalled peer never wedges the caller. Close is
 // the producer's end-of-stream signal: after Close, Pop drains the
 // remaining items and then reports done.
@@ -34,16 +34,13 @@ type SPSC[T any] struct {
 
 	_      [64]byte
 	closed atomic.Bool
-	prod   *Gate // producer parks here when full; woken by Advance
-	cons   *Gate // consumer parks here when empty; woken by Push/Close
+	prod   *gate // producer parks here when full; woken by TryPop
+	cons   *gate // consumer parks here when empty; woken by TryPush/Close
 }
 
 // NewSPSC returns an SPSC ring holding at least capacity items
-// (rounded up to a power of two). prod is the gate the producer parks
-// on when the ring is full; cons the gate the consumer parks on when
-// it is empty. A consumer multiplexing several rings may share one
-// cons gate across all of them and re-scan on every wake.
-func NewSPSC[T any](capacity int, prod, cons *Gate) *SPSC[T] {
+// (rounded up to a power of two).
+func NewSPSC[T any](capacity int) *SPSC[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -54,8 +51,8 @@ func NewSPSC[T any](capacity int, prod, cons *Gate) *SPSC[T] {
 	return &SPSC[T]{
 		buf:  make([]T, n),
 		mask: uint64(n - 1),
-		prod: prod,
-		cons: cons,
+		prod: newGate(),
+		cons: newGate(),
 	}
 }
 
@@ -80,35 +77,6 @@ func (r *SPSC[T]) TryPush(v T) bool {
 	return true
 }
 
-// TryPushN appends as many items of vs as the ring has space for,
-// in order, and returns how many it took. The copies are published with
-// a single tail store and a single consumer wake, so a batch of N
-// costs one atomic publish instead of N — the dispatcher's staged
-// lane flush rides on this. Producer side only.
-//
-//lsm:hotpath
-func (r *SPSC[T]) TryPushN(vs []T) int {
-	t := r.tail.Load()
-	free := uint64(len(r.buf)) - (t - r.headCache)
-	if free < uint64(len(vs)) {
-		r.headCache = r.head.Load()
-		free = uint64(len(r.buf)) - (t - r.headCache)
-	}
-	n := len(vs)
-	if uint64(n) > free {
-		n = int(free)
-	}
-	if n == 0 {
-		return 0
-	}
-	for i := 0; i < n; i++ {
-		r.buf[(t+uint64(i))&r.mask] = vs[i]
-	}
-	r.tail.Store(t + uint64(n))
-	r.cons.Wake()
-	return n
-}
-
 // Push appends v, parking while the ring is full. It returns false if
 // abort is closed while waiting (v is not pushed). Producer side only.
 func (r *SPSC[T]) Push(v T, abort <-chan struct{}) bool {
@@ -127,45 +95,24 @@ func (r *SPSC[T]) Push(v T, abort <-chan struct{}) bool {
 	}
 }
 
-// Peek returns a pointer to the oldest item without consuming it, or
-// (nil, false) when the ring is currently empty. The pointee is valid
-// until the matching Advance. Consumer side only.
+// TryPop pops the oldest item if one is available, releasing its slot
+// (and any references it held) back to the producer. Consumer side
+// only.
 //
 //lsm:hotpath
-func (r *SPSC[T]) Peek() (*T, bool) {
+func (r *SPSC[T]) TryPop() (T, bool) {
+	var zero T
 	h := r.head.Load()
 	if h == r.tailCache {
 		r.tailCache = r.tail.Load()
 		if h == r.tailCache {
-			return nil, false
+			return zero, false
 		}
 	}
-	return &r.buf[h&r.mask], true
-}
-
-// Advance consumes the item Peek returned, releasing its slot (and any
-// references it held) back to the producer. Consumer side only.
-//
-//lsm:hotpath
-func (r *SPSC[T]) Advance() {
-	h := r.head.Load()
-	var zero T
+	v := r.buf[h&r.mask]
 	r.buf[h&r.mask] = zero // drop slot references promptly
 	r.head.Store(h + 1)
 	r.prod.Wake()
-}
-
-// TryPop pops the oldest item if one is available. Consumer side only.
-//
-//lsm:hotpath
-func (r *SPSC[T]) TryPop() (T, bool) {
-	p, ok := r.Peek()
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	v := *p
-	r.Advance()
 	return v, true
 }
 
@@ -204,10 +151,4 @@ func (r *SPSC[T]) Pop(abort <-chan struct{}) (T, bool) {
 func (r *SPSC[T]) Close() {
 	r.closed.Store(true)
 	r.cons.Wake()
-}
-
-// Done reports whether the ring is closed and fully drained — the
-// consumer will never see another item.
-func (r *SPSC[T]) Done() bool {
-	return r.closed.Load() && r.head.Load() == r.tail.Load()
 }

@@ -61,13 +61,18 @@ func (c *entryChunk) release() {
 
 // laneArena is one worker's private entry allocator.
 type laneArena struct {
-	cur  *entryChunk
-	free chan *entryChunk // recycled chunks, pushed by the final release
+	cur    *entryChunk
+	free   chan *entryChunk // recycled chunks, pushed by the final release
+	chunks int              // chunks ever allocated (worker-owned)
 }
 
 func newLaneArena() *laneArena {
 	return &laneArena{free: make(chan *entryChunk, arenaFreeDepth)}
 }
+
+// newServeArena builds each serve lane's arena; tests swap it to
+// inspect the arenas a run leaves behind.
+var newServeArena = newLaneArena
 
 // get allocates one entry. Only the owning lane worker calls it; the
 // fast path is a bump of the open chunk's index plus one atomic
@@ -95,6 +100,7 @@ func (a *laneArena) refill() *entryChunk {
 		c.used = 0
 	default:
 		c = &entryChunk{entries: make([]wmslog.Entry, entryChunkSize), owner: a}
+		a.chunks++
 	}
 	c.live.Store(1) // the open-hold
 	a.cur = c

@@ -5,25 +5,22 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/dist"
 	"repro/internal/gismo"
 	"repro/internal/ring"
 	"repro/internal/workload"
 )
 
 const (
-	// laneRingDepth is the capacity of each lane's input and output
-	// SPSC ring: how far the dispatcher may run ahead of a worker, and
-	// a worker ahead of the collector, before backpressure parks them.
-	laneRingDepth = 512
-	// dispatchStage is the per-lane staging-buffer size: the dispatcher
-	// accumulates admitted events per lane and publishes them with one
-	// bulk ring push (one atomic store + one wake per stage) instead of
-	// one per event.
-	dispatchStage = 64
-	// maxReorderWindow caps the collector's reorder window so a huge
-	// lane count cannot balloon the collector's footprint.
-	maxReorderWindow = 32768
+	// serveBatch is the number of admitted events the dispatcher hands
+	// a lane at once: large enough that the per-batch ring handoff is
+	// noise next to the per-event serve work, small enough that the
+	// batches in flight stay a few MB at 8 lanes.
+	serveBatch = 128
+	// serveRingDepth is the capacity, in batches, of each lane's input
+	// and output ring: how far the dispatcher may run ahead of a
+	// worker, and a worker ahead of the collector, before backpressure
+	// parks them.
+	serveRingDepth = 4
 	// MaxServeLanes bounds the serve worker count.
 	MaxServeLanes = 1024
 )
@@ -43,153 +40,13 @@ func DefaultServeLanes() int {
 	return n
 }
 
-// reorderWindow sizes the collector's reorder window: one full output
-// ring per lane, so the rings — not the window — are what backpressure
-// a lane that runs ahead. Any size ≥ 1 is deadlock-free (see the
-// liveness note on RunStreamSharded); the size only sets how often a
-// skewed lane mix stalls placement.
-func reorderWindow(lanes int) int {
-	w := lanes * laneRingDepth
-	if w > maxReorderWindow {
-		w = maxReorderWindow
-	}
-	if w < 2*laneRingDepth {
-		w = 2 * laneRingDepth
-	}
-	return w
-}
-
-// laneItem is one admitted event on its way to a serve worker: the
-// event, its global admission sequence number, and the concurrency
-// level the dispatcher observed at admission.
-type laneItem struct {
+// serveJob is one admitted event in a batch: the dispatcher fills ev
+// and conc, the lane worker serves it into sv in place, and the
+// collector emits sv.
+type serveJob struct {
 	ev   workload.Event
-	seq  int64
-	conc int32
-}
-
-// laneResult is one served event on its way back to the collector,
-// which restores the exact global admission order by reordering on
-// seq.
-type laneResult struct {
-	seq   int64
-	start int64
-	sv    served
-}
-
-// releaseServed returns a discarded result's pooled entries to their
-// owning lane chunks — the abort path, where no sink will ever see
-// them.
-func releaseServed(sv *served) {
-	if sv.entryC != nil {
-		sv.entryC.release()
-	}
-	if sv.dupC != nil {
-		sv.dupC.release()
-	}
-	sv.entry, sv.entryC = nil, nil
-	sv.dup, sv.dupC = nil, nil
-}
-
-// laneRouter fans admitted events out to the lane input rings through
-// per-lane staging buffers: route appends to the event's lane stage,
-// and a full stage is published with one SPSC.TryPushN — one atomic
-// store and one wake per dispatchStage events instead of one per
-// event. All input rings share a single producer gate (the dispatcher
-// is the sole producer of every ring), so when no ring can take more
-// the dispatcher parks once and any worker's Advance unparks it.
-//
-// Liveness: flushAll drains *every* lane's stage before parking. If a
-// lane's staged items cannot flush, that lane's ring is full of
-// strictly earlier, not-yet-served items — so the sequence the
-// collector needs next is never stranded in staging; it is always
-// already in a ring, a worker, or the reorder window, where the
-// backpressure chain drains it.
-type laneRouter struct {
-	in    []*ring.SPSC[laneItem]
-	stage []laneStage
-	gate  *ring.Gate // shared producer gate across all input rings
-	stop  <-chan struct{}
-}
-
-// laneStage is one lane's staging buffer; pos is the first index not
-// yet pushed to the ring (a partial flush leaves pos < len(buf)).
-type laneStage struct {
-	buf []laneItem
-	pos int
-}
-
-func newLaneRouter(in []*ring.SPSC[laneItem], gate *ring.Gate, stop <-chan struct{}) *laneRouter {
-	rt := &laneRouter{in: in, stage: make([]laneStage, len(in)), gate: gate, stop: stop}
-	for k := range rt.stage {
-		rt.stage[k].buf = make([]laneItem, 0, dispatchStage)
-	}
-	return rt
-}
-
-// route stages it for lane, flushing when the stage fills. It returns
-// false only if the run was aborted while blocked on full rings.
-//
-//lsm:hotpath
-func (rt *laneRouter) route(lane int, it laneItem) bool {
-	st := &rt.stage[lane]
-	st.buf = append(st.buf, it)
-	if len(st.buf) < cap(st.buf) {
-		return true
-	}
-	st.pos += rt.in[lane].TryPushN(st.buf[st.pos:])
-	if st.pos == len(st.buf) {
-		st.buf, st.pos = st.buf[:0], 0
-		return true
-	}
-	return rt.flushAll()
-}
-
-// flushRound makes one non-blocking pass over every stage, pushing
-// what fits. It reports whether anything remains staged and whether
-// this pass moved anything.
-func (rt *laneRouter) flushRound() (pending, progress bool) {
-	for k := range rt.stage {
-		st := &rt.stage[k]
-		if st.pos == len(st.buf) {
-			st.buf, st.pos = st.buf[:0], 0
-			continue
-		}
-		n := rt.in[k].TryPushN(st.buf[st.pos:])
-		if n > 0 {
-			progress = true
-		}
-		st.pos += n
-		if st.pos == len(st.buf) {
-			st.buf, st.pos = st.buf[:0], 0
-		} else {
-			pending = true
-		}
-	}
-	return pending, progress
-}
-
-// flushAll drains every staged item into the rings, parking on the
-// shared producer gate whenever a full pass makes no progress. It
-// returns false if the run aborts while parked.
-func (rt *laneRouter) flushAll() bool {
-	for {
-		pending, progress := rt.flushRound()
-		if !pending {
-			return true
-		}
-		if progress {
-			continue
-		}
-		rt.gate.Prepare()
-		if _, progress = rt.flushRound(); progress {
-			rt.gate.Cancel()
-			continue
-		}
-		if !rt.gate.Wait(rt.stop) {
-			return false
-		}
-	}
+	conc int
+	sv   served
 }
 
 // fusedDispatch merges a ShardedStream's shard slabs directly in the
@@ -256,120 +113,100 @@ func fusedDispatch(ss workload.ShardedStream, admit func(workload.Event) bool) b
 	return true
 }
 
-// RunStreamSharded is the parallel form of RunStream: a serial
-// dispatcher admits events in start order (computing the concurrency
-// level, the only cross-event state) and hash-partitions them across
-// lanes client lanes; each lane worker computes its transfers'
-// server-model draws and log entries independently, allocating entries
-// from a private arena (see arena.go); and a collector merges the lane
-// outputs back into admission order before running the same end-time
-// reorder buffer as the sequential path.
+// RunStreamSharded is the parallel form of RunStream. A serial
+// dispatcher admits events in start order (validating the stream and
+// computing the concurrency level, the only cross-event state) and
+// cuts them into batches of serveBatch events; batch b goes to lane
+// b mod lanes. Each lane worker serves its batches in place — the
+// server-model draws and the log entries, allocated from a private
+// arena (see arena.go) — and the collector takes batch b back from
+// lane b mod lanes, so admission order is restored by construction.
+// The collector emits each transfer through the same step as RunStream
+// (see emitter) and recycles the batch to the dispatcher.
 //
 // When src is a workload.ShardedStream (gismo's sharded generator),
 // the dispatcher merges the shard slabs inline (see fusedDispatch)
-// instead of pulling events one at a time through Next: the
-// generate→serve corridor then runs shard → ring → merge+dispatch →
-// lane with no intermediate merge goroutine and no per-event
-// interface hop.
+// instead of pulling events one at a time through Next.
 //
 // Because every per-transfer draw is a pure function of (seed, event
-// identity) — see serveLane — and the collector restores the exact
-// admission order, the sinks observe byte-for-byte the sequence
-// RunStream produces: the served log is invariant under the lane
-// count. lanes = 1 runs the same pipeline with a single worker.
+// identity) — see serveLane — and the collector emits in admission
+// order, the sinks observe byte-for-byte the sequence RunStream
+// produces: the served log is invariant under the lane count. lanes = 1
+// runs the same pipeline with a single worker.
 //
-// Every handoff is a bounded SPSC ring (internal/ring): dispatcher →
-// worker and worker → collector each have exactly one producer and one
-// consumer, so an item crosses a stage for a slot copy plus one atomic
-// store — no locks, no channel ops, no per-item allocation. The
-// collector multiplexes all output rings through one shared gate and
-// places results into a dense-sequence reorder window, leaving any
-// result outside the window parked in its lane's ring (which
-// backpressures that lane).
+// Every handoff is a bounded SPSC ring (internal/ring) carrying whole
+// batches: dispatcher → lane k, lane k → collector, and collector →
+// dispatcher for the emptied batch buffers.
 //
-// Liveness: the result the collector needs next (seq == window lower
-// bound) always flows unobstructed — every earlier sequence has been
-// emitted, so nothing ahead of it in its lane's rings is blocked, and
-// its window slot is by definition free. A lane that receives few (or
-// no) events closes its rings at end of stream, which the collector
-// observes through the same gate. On abort (a sink error), the stop
-// channel unparks every stage and the collector drains the rings,
-// releasing entries, until all lanes close.
+// Liveness: when the collector waits for batch b, it has consumed every
+// earlier batch, so lane b mod lanes has delivered every earlier batch
+// it was given and can always deliver batch b. On abort (a sink error)
+// the stop channel unparks every stage; after they join, the collector
+// drains the output rings, releasing entries.
 func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64, cfg Config, seed uint64, lanes int, sinks StreamSinks) (*StreamResult, error) {
 	if lanes < 1 || lanes > MaxServeLanes {
 		return nil, fmt.Errorf("%w: serve lanes %d", ErrBadConfig, lanes)
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := validateRun(cfg, pop, horizon); err != nil {
 		return nil, err
-	}
-	if pop == nil || pop.Size() == 0 {
-		return nil, fmt.Errorf("%w: empty population", ErrBadConfig)
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("%w: horizon %d", ErrBadConfig, horizon)
 	}
 
 	stop := make(chan struct{}) // closed by the collector on abort
-	collGate := ring.NewGate()  // shared consumer gate: one park site for all output rings
-	prodGate := ring.NewGate()  // shared producer gate: one park site for all input rings
-	in := make([]*ring.SPSC[laneItem], lanes)
-	out := make([]*ring.SPSC[laneResult], lanes)
-	for k := 0; k < lanes; k++ {
-		in[k] = ring.NewSPSC[laneItem](laneRingDepth, prodGate, ring.NewGate())
-		out[k] = ring.NewSPSC[laneResult](laneRingDepth, ring.NewGate(), collGate)
+	in := make([]*ring.SPSC[[]serveJob], lanes)
+	out := make([]*ring.SPSC[[]serveJob], lanes)
+	for k := range in {
+		in[k] = ring.NewSPSC[[]serveJob](serveRingDepth)
+		out[k] = ring.NewSPSC[[]serveJob](serveRingDepth)
 	}
+	// free holds every batch buffer that can be in flight, so the
+	// collector's recycle push never fails in practice.
+	free := ring.NewSPSC[[]serveJob](lanes*(2*serveRingDepth+1) + 2)
 
-	// Dispatcher: the serial prologue. Validates the stream, tracks
-	// concurrency, and fans events out by client hash through per-lane
-	// staging buffers (see laneRouter). When the source is a
-	// workload.ShardedStream, the K-way merge runs inline here over the
-	// shard slabs — the fused form skips the per-event interface call
-	// and the generator-side merge goroutine entirely. The dispatcher's
-	// error and the concurrency peak are published before the input
-	// rings close — which happens-before each worker's output ring
-	// closes, which happens-before the collector's final reads (via the
-	// WaitGroups below).
+	// Dispatcher. Its error, the concurrency peak and the admitted
+	// count are published before the input rings close, which
+	// happens-before each worker's output ring closes, which
+	// happens-before the collector's final reads.
 	var dispatchErr error
 	var peak int
 	var admitted int64
-	var dispatcherDone sync.WaitGroup
-	dispatcherDone.Add(1)
+	var wg sync.WaitGroup
+	wg.Add(1 + lanes)
 	go func() {
-		defer dispatcherDone.Done()
-		concurrency := newConcurrencyTracker()
-		router := newLaneRouter(in, prodGate, stop)
-		var lastStart int64
-		var seq int64
+		defer wg.Done()
+		adm := newAdmitter(pop)
+		var b int
+		batch := make([]serveJob, 0, serveBatch)
 		defer func() {
 			workload.CloseStream(src)
-			peak = concurrency.peak
-			admitted = seq
+			peak, admitted = adm.conc.peak, adm.n
 			for _, r := range in {
 				r.Close()
 			}
 		}()
-		// admit validates one event, records its concurrency level, and
-		// stages it for its lane. It returns false on a stream-contract
-		// violation (dispatchErr set) or on abort; either way staged but
-		// unflushed items are dropped — the run is failing and the
-		// collector only cross-checks counts on the success path.
-		admit := func(ev workload.Event) bool {
-			if ev.Client < 0 || ev.Client >= pop.Size() {
-				dispatchErr = fmt.Errorf("%w: client %d outside population of %d", ErrBadConfig, ev.Client, pop.Size())
+		// push hands the current batch to its lane and starts the next;
+		// it returns false on abort.
+		push := func() bool {
+			if !in[b%lanes].Push(batch, stop) {
 				return false
 			}
-			if seq > 0 && ev.Start < lastStart {
-				dispatchErr = fmt.Errorf("%w: stream not in start order (%d after %d)", ErrBadConfig, ev.Start, lastStart)
-				return false
+			b++
+			var ok bool
+			if batch, ok = free.TryPop(); !ok {
+				batch = make([]serveJob, 0, serveBatch)
 			}
-			lastStart = ev.Start
-			conc := concurrency.admit(ev.Start, ev.End())
-			lane := int(dist.Mix64(uint64(ev.Client), laneHash) % uint64(lanes))
-			if !router.route(lane, laneItem{ev: ev, seq: seq, conc: int32(conc)}) {
-				return false // aborted
-			}
-			seq++
 			return true
+		}
+		// admit validates one event and appends it to the batch. It
+		// returns false on a stream-contract violation (dispatchErr set)
+		// or on abort.
+		admit := func(ev workload.Event) bool {
+			conc, err := adm.admit(ev)
+			if err != nil {
+				dispatchErr = err
+				return false
+			}
+			batch = append(batch, serveJob{ev: ev, conc: conc})
+			return len(batch) < serveBatch || push()
 		}
 		if ss, ok := src.(workload.ShardedStream); ok {
 			if !fusedDispatch(ss, admit) {
@@ -386,202 +223,85 @@ func RunStreamSharded(src workload.Stream, pop *gismo.Population, horizon int64,
 				}
 			}
 		}
-		router.flushAll() // publish the tail before the rings close
+		if len(batch) > 0 {
+			push() // the tail
+		}
 	}()
 
-	// Lane workers: all the per-transfer computation — server-model
-	// draws, byte accounting, entry rendering into arena-backed
-	// entries — runs here, in parallel across lanes, each lane
-	// funneling into its own output ring.
-	var workers sync.WaitGroup
-	workers.Add(lanes)
+	// Lane workers: all the per-transfer computation runs here, in
+	// parallel across lanes.
 	for k := 0; k < lanes; k++ {
 		go func(k int) {
-			defer workers.Done()
+			defer wg.Done()
 			defer out[k].Close()
-			arena := newLaneArena()
+			arena := newServeArena()
 			defer arena.close()
 			es := newEventServer(&cfg, pop, horizon, seed, arena, sinks)
-			var r laneResult
 			for {
-				it, ok := in[k].Pop(stop)
+				batch, ok := in[k].Pop(stop)
 				if !ok {
 					return // input drained, or aborted
 				}
-				r.seq = it.seq
-				r.start = it.ev.Start
-				es.serve(it.ev, int(it.conc), &r.sv)
-				if !out[k].Push(r, stop) {
-					releaseServed(&r.sv) // aborted: nobody will sink it
+				for i := range batch {
+					es.serve(batch[i].ev, batch[i].conc, &batch[i].sv)
+				}
+				if !out[k].Push(batch, stop) {
+					releaseBatch(batch) // aborted: nobody will sink it
 					return
 				}
 			}
 		}(k)
 	}
 
-	// Collector (this goroutine): place each lane's results into a
-	// dense-sequence reorder window, drain the window in admission
-	// order through the same transfer-sink / end-time-buffer emission
-	// logic as the sequential path, and release each entry's arena
-	// chunk once its sink call returns.
-	res := &StreamResult{}
-	pending := newPendingEntries(chunkReleaser{})
-	reorder := ring.NewReorder[laneResult](reorderWindow(lanes))
+	// Collector (this goroutine). A closed, empty out[b%lanes] means no
+	// batch b or later exists.
+	em := newEmitter(chunkReleaser{}, sinks)
 	var firstErr error
-	abort := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			close(stop)
+	for b := 0; firstErr == nil; b++ {
+		batch, ok := out[b%lanes].Pop(nil)
+		if !ok {
+			break
 		}
-	}
-	emit := func(r *laneResult) error {
-		sv := &r.sv
-		if err := pending.flushThrough(r.start, false, sinks.Entry); err != nil {
-			releaseServed(sv)
-			return err
-		}
-		res.Transfers++
-		res.TotalBytes += sv.bytes
-		if sinks.Transfer != nil {
-			if err := sinks.Transfer(sv.transfer); err != nil {
-				releaseServed(sv)
-				return err
+		for i := range batch {
+			if err := em.emit(batch[i].ev.Start, &batch[i].sv); err != nil {
+				firstErr = err
+				close(stop)
+				releaseBatch(batch[i+1:])
+				break
 			}
 		}
-		if sv.entry != nil {
-			pending.push(sv.end, sv.entry, sv.entryC)
-			if sv.dup != nil {
-				pending.push(sv.end, sv.dup, sv.dupC)
-			}
-		}
-		if sv.injected {
-			res.Injected++
-		}
-		return nil
+		free.TryPush(batch[:0])
 	}
+	wg.Wait()
 
-	// Done lanes are recorded once and then skipped: a permanently-Done
-	// ring must not count as fresh work in the park re-check, or the
-	// collector would busy-spin from the first lane to finish.
-	done := make([]bool, lanes)
-	remaining := lanes
-	for remaining > 0 {
-		progress := false
-		for k, r := range out {
-			if done[k] {
-				continue
-			}
+	err := firstErr
+	if err == nil {
+		err = dispatchErr
+	}
+	if err == nil && int64(em.res.Transfers) != admitted {
+		err = fmt.Errorf("simulate: sharded serve emitted %d of %d admitted transfers", em.res.Transfers, admitted)
+	}
+	if err != nil {
+		// Every goroutine has exited; release whatever is still
+		// buffered (only output batches hold served entries).
+		for _, r := range out {
 			for {
-				p, ok := r.Peek()
+				batch, ok := r.TryPop()
 				if !ok {
 					break
 				}
-				if firstErr != nil {
-					// Abort drain: discard, releasing pooled entries.
-					releaseServed(&p.sv)
-					r.Advance()
-					progress = true
-					continue
-				}
-				if !reorder.Placeable(uint64(p.seq)) {
-					// Out of window: leave it parked in the ring; the
-					// window advances via the lane holding seq == next.
-					break
-				}
-				if err := reorder.Place(uint64(p.seq), *p); err != nil {
-					abort(err) // impossible by construction; drained above
-					continue
-				}
-				r.Advance()
-				progress = true
-			}
-			if r.Done() {
-				done[k] = true
-				remaining--
-				progress = true
+				releaseBatch(batch)
 			}
 		}
-		for firstErr == nil {
-			p, ok := reorder.PeekNext()
-			if !ok {
-				break
-			}
-			if err := emit(p); err != nil {
-				abort(err)
-			}
-			reorder.Release()
-			progress = true
-		}
-		if remaining > 0 && !progress {
-			// Park until a lane pushes or closes. The re-check must
-			// mirror the progress condition exactly: only a placeable
-			// head (any head during abort drain) or an unrecorded close
-			// is work — an unplaceable head must NOT prevent parking,
-			// because its wake arrives via the lane delivering seq ==
-			// next.
-			collGate.Prepare()
-			again := false
-			for k, r := range out {
-				if done[k] {
-					continue
-				}
-				if p, ok := r.Peek(); ok {
-					if firstErr != nil || reorder.Placeable(uint64(p.seq)) {
-						again = true
-						break
-					}
-				} else if r.Done() {
-					again = true
-					break
-				}
-			}
-			if again {
-				collGate.Cancel()
-			} else {
-				collGate.Wait(nil)
-			}
-		}
-	}
-	workers.Wait()
-	dispatcherDone.Wait()
-
-	// Every ring is closed and drained; recycle anything still buffered
-	// before reporting an error (the sinks never see it).
-	drainBuffers := func() {
-		for reorder.Len() > 0 {
-			if p, ok := reorder.PeekNext(); ok {
-				releaseServed(&p.sv)
-				reorder.Release()
-			} else {
-				reorder.Skip()
-			}
-		}
-		_ = pending.flushThrough(0, true, nil) // nil sink never errors
-	}
-	if firstErr != nil {
-		drainBuffers()
-		return nil, firstErr
-	}
-	if dispatchErr != nil {
-		drainBuffers()
-		return nil, dispatchErr
-	}
-	if n := reorder.Len(); n != 0 {
-		seq := reorder.Next()
-		drainBuffers()
-		return nil, fmt.Errorf("simulate: sharded serve lost sequence %d (%d results stranded)", seq, n)
-	}
-	if res.Transfers == 0 {
-		return nil, fmt.Errorf("%w: empty workload", ErrBadConfig)
-	}
-	if int64(res.Transfers) != admitted {
-		drainBuffers()
-		return nil, fmt.Errorf("simulate: sharded serve emitted %d of %d admitted transfers", res.Transfers, admitted)
-	}
-	if err := pending.flushThrough(0, true, sinks.Entry); err != nil {
-		drainBuffers()
+		em.discard()
 		return nil, err
 	}
-	res.PeakConcurrency = peak
-	return res, nil
+	return em.finish(peak)
+}
+
+// releaseBatch releases every served entry a discarded batch holds.
+func releaseBatch(batch []serveJob) {
+	for i := range batch {
+		releaseServed(&batch[i].sv)
+	}
 }

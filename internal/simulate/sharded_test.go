@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -135,13 +136,10 @@ func TestRunStreamShardedValidation(t *testing.T) {
 	}
 }
 
-// TestRunStreamShardedSkewedLanes is the liveness regression test for
-// the hash-skew deadlock: a stream whose events all hash to one lane
-// (a single client) must still complete at any lane count — the
-// collector must never block on a cold lane while hot lanes stall the
-// pipeline — AND the maximally skewed log must stay md5-identical to
-// the sequential one. Guarded by a timeout so a regression fails
-// instead of hanging the suite.
+// TestRunStreamShardedSkewedLanes serves a single-client stream at
+// several lane counts: every run must complete with a log
+// md5-identical to the sequential one. Guarded by a timeout so a
+// liveness regression fails instead of hanging the suite.
 func TestRunStreamShardedSkewedLanes(t *testing.T) {
 	m, err := gismo.Scaled(5000, 2)
 	if err != nil {
@@ -200,24 +198,27 @@ func TestRunStreamShardedSkewedLanes(t *testing.T) {
 				t.Fatalf("lanes=%d: served %d/%d transfers", lanes, o.n, n)
 			}
 			if o.sum != seqSum {
-				t.Errorf("lanes=%d: skewed log md5 differs from sequential", lanes)
+				t.Errorf("lanes=%d: single-client log md5 differs from sequential", lanes)
 			}
 		case <-time.After(60 * time.Second):
-			t.Fatalf("lanes=%d: sharded serve deadlocked on a skewed lane distribution", lanes)
+			t.Fatalf("lanes=%d: sharded serve deadlocked on a single-client stream", lanes)
 		}
 	}
 }
 
-// TestRunStreamShardedSinkError: a failing sink mid-run aborts the
-// whole pipeline promptly — dispatcher, every lane worker, and the
-// collector — surfacing the sink's error rather than deadlocking,
-// whichever sink fails and at any lane count. Timeout-guarded so a
+// TestRunStreamShardedSinkError: a sink failing in the middle of a
+// batch aborts the whole pipeline promptly — dispatcher, every lane
+// worker, and the collector — surfacing the sink's error rather than
+// deadlocking, whichever sink fails and at any lane count. Every served
+// entry — in the failing batch, in batches still in the rings, and in
+// the end-time buffer — goes back to its arena. Timeout-guarded so a
 // liveness regression fails instead of hanging the suite.
 func TestRunStreamShardedSinkError(t *testing.T) {
 	w := testWorkload(t, 23)
 	cfg := DefaultConfig()
 	cfg.SpanningPerMillion = 2000
 	boom := errors.New("sink boom")
+	arenas := recordArenas(t)
 
 	for _, lanes := range []int{1, 4, 8} {
 		for _, kind := range []string{"transfer", "entry"} {
@@ -225,7 +226,7 @@ func TestRunStreamShardedSinkError(t *testing.T) {
 				n := 0
 				fail := func() error {
 					n++
-					if n == 10 {
+					if n == serveBatch+serveBatch/2 {
 						return boom
 					}
 					return nil
@@ -253,6 +254,7 @@ func TestRunStreamShardedSinkError(t *testing.T) {
 				case <-time.After(60 * time.Second):
 					t.Fatal("sharded serve wedged after a sink error")
 				}
+				checkArenasDrained(t, arenas)
 			})
 		}
 	}
@@ -260,7 +262,7 @@ func TestRunStreamShardedSinkError(t *testing.T) {
 
 // TestRunStreamShardedMemoryBounded is the arena-recycling contract:
 // a long sharded run's live heap must stay bounded by the pipeline's
-// occupancy (rings + reorder window + in-flight arena chunks), not
+// occupancy (batch rings + in-flight arena chunks), not
 // grow with the transfer count — chunks must actually cycle back from
 // the collector to the lane workers.
 func TestRunStreamShardedMemoryBounded(t *testing.T) {
@@ -296,11 +298,96 @@ func TestRunStreamShardedMemoryBounded(t *testing.T) {
 	}
 
 	// Buffering the entries would cost ~100 MB; the pipeline needs only
-	// its rings, the reorder window, and the circulating chunks. Allow
+	// its batch rings and the circulating chunks. Allow
 	// a generous 24 MB for noise.
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	const limit = 24 << 20
 	if growth > limit {
 		t.Errorf("live heap grew %d bytes during sharded run, want < %d", growth, limit)
+	}
+}
+
+// recordArenas makes every sharded run in the calling test record the
+// lane arenas it builds, restoring the default afterwards.
+func recordArenas(t *testing.T) *[]*laneArena {
+	var mu sync.Mutex
+	var arenas []*laneArena
+	t.Cleanup(func() { newServeArena = newLaneArena })
+	newServeArena = func() *laneArena {
+		a := newLaneArena()
+		mu.Lock()
+		arenas = append(arenas, a)
+		mu.Unlock()
+		return a
+	}
+	return &arenas
+}
+
+// checkArenasDrained fails unless every recorded arena is closed and
+// got back every chunk it allocated (each fixture stays within
+// arenaFreeDepth chunks per lane, so none falls to the GC).
+func checkArenasDrained(t *testing.T, arenas *[]*laneArena) {
+	t.Helper()
+	for i, a := range *arenas {
+		if a.cur != nil {
+			t.Errorf("arena %d: still open after the run", i)
+		}
+		if a.chunks > arenaFreeDepth {
+			t.Fatalf("arena %d: %d chunks exceed the free depth; shrink the fixture", i, a.chunks)
+		}
+		if len(a.free) != a.chunks {
+			t.Errorf("arena %d: %d of %d chunks came back", i, len(a.free), a.chunks)
+		}
+	}
+	*arenas = (*arenas)[:0]
+}
+
+// TestRunStreamShardedBatchEdges pins the batch round-robin rule at its
+// edges: a lone event, exactly one full batch, one event past it, and
+// fewer batches than lanes. The log must match RunStream's, and every
+// lane arena must get back every chunk it allocated.
+func TestRunStreamShardedBatchEdges(t *testing.T) {
+	m, err := gismo.Scaled(5000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop, err := gismo.NewPopulation(16, m.Topology, rand.New(rand.NewPCG(6, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.SpanningPerMillion = 100_000 // spanning twins in most batches
+	const seed = 13
+	arenas := recordArenas(t)
+
+	serve := func(n int, run func(src workload.Stream, sinks StreamSinks) (*StreamResult, error)) ([]byte, *StreamResult) {
+		t.Helper()
+		var buf bytes.Buffer
+		lw := wmslog.NewWriter(&buf)
+		res, err := run(&syntheticStream{n: n, clients: pop.Size()}, StreamSinks{Entry: lw.Write})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), res
+	}
+	for _, n := range []int{1, 3, serveBatch, serveBatch + 1, 3*serveBatch + 7} {
+		want, wantRes := serve(n, func(src workload.Stream, sinks StreamSinks) (*StreamResult, error) {
+			return RunStream(src, pop, int64(n), cfg, seed, sinks)
+		})
+		for _, lanes := range []int{1, 2, 8} {
+			got, res := serve(n, func(src workload.Stream, sinks StreamSinks) (*StreamResult, error) {
+				return RunStreamSharded(src, pop, int64(n), cfg, seed, lanes, sinks)
+			})
+			if !bytes.Equal(got, want) {
+				t.Errorf("n=%d lanes=%d: log differs from RunStream", n, lanes)
+			}
+			if *res != *wantRes {
+				t.Errorf("n=%d lanes=%d: result %+v, want %+v", n, lanes, *res, *wantRes)
+			}
+			checkArenasDrained(t, arenas)
+		}
 	}
 }

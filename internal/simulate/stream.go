@@ -18,18 +18,11 @@ import (
 // reuse one seed for generation and serving without correlating the
 // two. Every per-transfer draw comes from a splitmix stream keyed by
 // (seed, serveLane, event.Session, event.Seq) — a pure function of the
-// event identity. That is the sharded-serve contract: any partition of
-// events across serve lanes draws exactly the same values, so the log
+// event identity. That is the sharded-serve contract: any assignment of
+// events to serve lanes draws exactly the same values, so the log
 // bytes are invariant under the lane count (mirroring the generator's
 // shard-seeding scheme, DESIGN.md).
 const serveLane uint64 = 5
-
-// laneHash is the lane the sharded dispatcher's client→lane hash is
-// keyed on (Mix64(client, laneHash)). It never derives a random
-// stream, but it lives in the lane namespace so no future stream can
-// accidentally share its keying — lsmvet's seedlane analyzer keeps the
-// whole namespace collision-free.
-const laneHash uint64 = 6
 
 // StreamSinks receives the simulator's output as it is produced.
 // Transfer is called in request-start order; Entry is called in log
@@ -60,11 +53,12 @@ type StreamResult struct {
 }
 
 // RunStream serves an event stream sequentially, holding O(active
-// transfers) of state: the concurrency heap plus a reorder buffer of
+// transfers) of state: the concurrency tracker plus a reorder buffer of
 // log entries for transfers that have started but not yet ended
 // (entries are timestamped at transfer end, requests arrive in start
 // order). Run is a materializing wrapper around it; RunStreamSharded
-// is the parallel form, byte-identical at any lane count.
+// is the parallel form, byte-identical at any lane count, and shares
+// its admit and emit steps (admitter, emitter) with this path.
 //
 // pop must cover every client ID in the stream; horizon bounds the
 // trace. seed drives every server-model draw deterministically:
@@ -74,71 +68,137 @@ type StreamResult struct {
 // per-transfer Bernoulli draw at the same expected rate as the
 // original materializing path's fixed count.
 func RunStream(src workload.Stream, pop *gismo.Population, horizon int64, cfg Config, seed uint64, sinks StreamSinks) (*StreamResult, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validateRun(cfg, pop, horizon); err != nil {
 		return nil, err
-	}
-	if pop == nil || pop.Size() == 0 {
-		return nil, fmt.Errorf("%w: empty population", ErrBadConfig)
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("%w: horizon %d", ErrBadConfig, horizon)
 	}
 	defer workload.CloseStream(src)
 
 	// Single-goroutine serving recycles entries through a plain
-	// freelist; only the sharded path pays for sync.Pool.
+	// freelist; only the sharded path needs lane arenas.
 	pool := &freeEntryPool{}
 	es := newEventServer(&cfg, pop, horizon, seed, pool, sinks)
-	res := &StreamResult{}
-	concurrency := newConcurrencyTracker()
-	pending := newPendingEntries(pool)
-	var lastStart int64
+	adm := newAdmitter(pop)
+	em := newEmitter(pool, sinks)
 	var sv served
-
 	for {
 		ev, ok := src.Next()
 		if !ok {
 			break
 		}
-		if ev.Client < 0 || ev.Client >= pop.Size() {
-			return nil, fmt.Errorf("%w: client %d outside population of %d", ErrBadConfig, ev.Client, pop.Size())
-		}
-		if res.Transfers > 0 && ev.Start < lastStart {
-			return nil, fmt.Errorf("%w: stream not in start order (%d after %d)", ErrBadConfig, ev.Start, lastStart)
-		}
-		lastStart = ev.Start
-		if err := pending.flushThrough(ev.Start, false, sinks.Entry); err != nil {
+		conc, err := adm.admit(ev)
+		if err != nil {
 			return nil, err
 		}
-
-		conc := concurrency.admit(ev.Start, ev.End())
 		es.serve(ev, conc, &sv)
-		res.Transfers++
-		res.TotalBytes += sv.bytes
-
-		if sinks.Transfer != nil {
-			if err := sinks.Transfer(sv.transfer); err != nil {
-				return nil, err
-			}
-		}
-		if sv.entry != nil {
-			pending.push(sv.end, sv.entry, sv.entryC)
-			if sv.dup != nil {
-				pending.push(sv.end, sv.dup, sv.dupC)
-			}
-		}
-		if sv.injected {
-			res.Injected++
+		if err := em.emit(ev.Start, &sv); err != nil {
+			return nil, err
 		}
 	}
-	if res.Transfers == 0 {
+	return em.finish(adm.conc.peak)
+}
+
+// validateRun checks the arguments both serve paths share.
+func validateRun(cfg Config, pop *gismo.Population, horizon int64) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if pop == nil || pop.Size() == 0 {
+		return fmt.Errorf("%w: empty population", ErrBadConfig)
+	}
+	if horizon <= 0 {
+		return fmt.Errorf("%w: horizon %d", ErrBadConfig, horizon)
+	}
+	return nil
+}
+
+// admitter is the serial admission step both serve paths run on every
+// event, in stream order: it enforces the stream contract (clients
+// inside the population, non-decreasing start) and returns the
+// concurrency level the event is served at.
+type admitter struct {
+	clients   int
+	n         int64 // events admitted so far
+	lastStart int64
+	conc      *concurrencyTracker
+}
+
+func newAdmitter(pop *gismo.Population) *admitter {
+	return &admitter{clients: pop.Size(), conc: newConcurrencyTracker()}
+}
+
+func (a *admitter) admit(ev workload.Event) (int, error) {
+	if ev.Client < 0 || ev.Client >= a.clients {
+		return 0, fmt.Errorf("%w: client %d outside population of %d", ErrBadConfig, ev.Client, a.clients)
+	}
+	if a.n > 0 && ev.Start < a.lastStart {
+		return 0, fmt.Errorf("%w: stream not in start order (%d after %d)", ErrBadConfig, ev.Start, a.lastStart)
+	}
+	a.lastStart = ev.Start
+	a.n++
+	return a.conc.admit(ev.Start, ev.End()), nil
+}
+
+// emitter is the emit step both serve paths run on every served
+// transfer, in admission order: it releases the log entries no longer
+// reorderable, calls the Transfer sink, buffers the transfer's entries
+// until their end time passes, and tallies the result.
+type emitter struct {
+	sinks   StreamSinks
+	pending pendingEntries
+	res     StreamResult
+}
+
+func newEmitter(pool entryPool, sinks StreamSinks) *emitter {
+	return &emitter{sinks: sinks, pending: newPendingEntries(pool)}
+}
+
+// emit sinks one served transfer that started at start. On error the
+// transfer's own entries are released, so the caller only has to
+// discard what is still buffered.
+//
+//lsm:hotpath
+func (em *emitter) emit(start int64, sv *served) error {
+	if err := em.pending.flushThrough(start, false, em.sinks.Entry); err != nil {
+		releaseServed(sv)
+		return err
+	}
+	em.res.Transfers++
+	em.res.TotalBytes += sv.bytes
+	if em.sinks.Transfer != nil {
+		if err := em.sinks.Transfer(sv.transfer); err != nil {
+			releaseServed(sv)
+			return err
+		}
+	}
+	if sv.entry != nil {
+		em.pending.push(sv.end, sv.entry, sv.entryC)
+		if sv.dup != nil {
+			em.pending.push(sv.end, sv.dup, sv.dupC)
+		}
+	}
+	if sv.injected {
+		em.res.Injected++
+	}
+	return nil
+}
+
+// finish flushes every buffered entry and returns the run's result.
+func (em *emitter) finish(peak int) (*StreamResult, error) {
+	if em.res.Transfers == 0 {
 		return nil, fmt.Errorf("%w: empty workload", ErrBadConfig)
 	}
-	if err := pending.flushThrough(0, true, sinks.Entry); err != nil {
+	if err := em.pending.flushThrough(0, true, em.sinks.Entry); err != nil {
+		em.discard()
 		return nil, err
 	}
-	res.PeakConcurrency = concurrency.peak
-	return res, nil
+	em.res.PeakConcurrency = peak
+	return &em.res, nil
+}
+
+// discard releases every buffered entry without sinking it — the
+// abort path.
+func (em *emitter) discard() {
+	_ = em.pending.flushThrough(0, true, nil) // nil sink never errors
 }
 
 // served is one transfer's complete serving outcome: the trace record,
@@ -157,6 +217,20 @@ type served struct {
 	end      int64
 	bytes    int64
 	injected bool
+}
+
+// releaseServed returns a discarded result's pooled entries to their
+// owning lane chunks — the abort path, where no sink will ever see
+// them.
+func releaseServed(sv *served) {
+	if sv.entryC != nil {
+		sv.entryC.release()
+	}
+	if sv.dupC != nil {
+		sv.dupC.release()
+	}
+	sv.entry, sv.entryC = nil, nil
+	sv.dup, sv.dupC = nil, nil
 }
 
 // eventServer computes one transfer's server-model outcome from the
